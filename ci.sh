@@ -1,15 +1,19 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build, test, format, lint. Everything here must pass
-# offline (the workspace has no external dependencies; benchmarks are the
-# dependency-free `harness bench` subcommand).
+# offline (the workspace has no external dependencies). The repository
+# benchmark is `perfbench` (see BENCHMARK.json); this script runs its unit
+# tests and the dependency-free `harness bench` throughput smoke.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 echo "== cargo build --release --workspace"
 cargo build --release --workspace
 
-echo "== cargo test -q"
-cargo test -q
+echo "== cargo test -q --workspace"
+cargo test -q --workspace
+
+echo "== perfbench tests (workload builds, checks, metric names vs BENCHMARK.json)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== cargo fmt --check"
 cargo fmt --check

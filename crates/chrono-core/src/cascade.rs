@@ -17,8 +17,11 @@
 //! - **Migration failures** are drained once per event and offered to every
 //!   pair; each pair keeps only its own promotion edge's records.
 //!
-//! The two-tier configuration is exactly one pair and behaves identically
-//! to a standalone [`ChronoPolicy`].
+//! The two-tier chain is exactly one pair, and with every tier Online it
+//! behaves bit for bit like a standalone [`ChronoPolicy`]; the policy
+//! factories therefore build a cascade for every chain length and no longer
+//! construct the standalone policy. On any chain, a pair whose lower tier
+//! goes offline suspends until the tier rejoins.
 
 use tiered_mem::{AccessResult, ProcessId, TierHealth, TierId, TieredSystem, Vpn, MAX_TIERS};
 use tiering_policies::{decode_token, TieringPolicy};
@@ -32,11 +35,16 @@ use crate::resilience::RetryFlow;
 pub struct CascadeChrono {
     pairs: Vec<ChronoPolicy>,
     /// Pairs whose lower tier is spliced out of the chain: their events
-    /// reschedule without doing work until the tier rejoins.
-    suspended: Vec<bool>,
+    /// reschedule without doing work until the tier rejoins. Held inline
+    /// (indexed by pair) so the per-event check reads no extra heap line.
+    suspended: [bool; MAX_TIERS - 1],
     /// Whether any pair is currently suspended or retargeted, so healthy
     /// runs pay one boolean check per event and nothing else.
     rerouted: bool,
+    /// Whether the pairs run adaptive tracking, the only user of the
+    /// per-access hook; without it `on_access` returns before touching any
+    /// pair.
+    tracking: bool,
     name: &'static str,
 }
 
@@ -67,16 +75,12 @@ impl CascadeChrono {
             "Chrono-DCSC"
         };
         CascadeChrono {
-            suspended: vec![false; pairs.len()],
+            suspended: [false; MAX_TIERS - 1],
             rerouted: false,
+            tracking: cfg.adaptive_tracking,
             pairs,
             name,
         }
-    }
-
-    /// Builds the cascade sized to a system's managed tier count.
-    pub fn for_system(cfg: ChronoConfig, sys: &TieredSystem) -> CascadeChrono {
-        CascadeChrono::new(cfg, sys.config().num_tiers())
     }
 
     /// The per-pair policies, top edge first.
@@ -96,7 +100,7 @@ impl CascadeChrono {
 
     /// Which pairs are currently suspended (lower tier spliced out).
     pub fn suspended_pairs(&self) -> &[bool] {
-        &self.suspended
+        &self.suspended[..self.pairs.len()]
     }
 
     /// Re-derives per-pair routing from the substrate's tier health.
@@ -108,13 +112,17 @@ impl CascadeChrono {
     /// retargeted to the nearest non-spliced tier at or above its home
     /// position, which is exactly the splice edge the substrate's
     /// `route_allowed` accepts. An all-Online chain restores every pair to
-    /// its home edge and this becomes a single boolean check per event.
+    /// its home edge; once the substrate's health machinery is idle this is
+    /// two boolean checks per event.
     fn sync_tier_health(&mut self, sys: &mut TieredSystem) {
-        let health = sys.tier_health_all().to_vec();
-        let any_unhealthy = health.iter().any(|h| !matches!(h, TierHealth::Online));
-        if !any_unhealthy && !self.rerouted {
+        if !self.rerouted && !sys.tier_health_active() {
             return;
         }
+        // `on_edge_down` borrows the system mutably, so copy the (bounded)
+        // health row onto the stack first.
+        let all = sys.tier_health_all();
+        let mut health = [TierHealth::Online; MAX_TIERS];
+        health[..all.len()].copy_from_slice(all);
         let mut rerouted = false;
         for i in 0..self.pairs.len() {
             let lower_out = health[i + 1].spliced_out();
@@ -203,6 +211,9 @@ impl TieringPolicy for CascadeChrono {
     }
 
     fn on_access(&mut self, sys: &mut TieredSystem, pid: ProcessId, vpn: Vpn, write: bool) {
+        if !self.tracking {
+            return;
+        }
         for p in &mut self.pairs {
             p.on_access(sys, pid, vpn, write);
         }
@@ -213,7 +224,7 @@ impl TieringPolicy for CascadeChrono {
 mod tests {
     use super::*;
     use sim_clock::Nanos;
-    use tiered_mem::{PageSize, SystemConfig, TierId};
+    use tiered_mem::{FaultPlan, PageSize, SystemConfig, TierId};
     use tiering_policies::{DriverConfig, SimulationDriver};
     use workloads::{PmbenchConfig, PmbenchWorkload, Workload};
 
@@ -224,40 +235,77 @@ mod tests {
         }
     }
 
-    fn run_cascade(syscfg: SystemConfig, run_ms: u64) -> (TieredSystem, CascadeChrono) {
+    /// Runs `policy` over the test workload on a traced system.
+    fn run_traced(
+        syscfg: SystemConfig,
+        policy: &mut dyn TieringPolicy,
+        run_ms: u64,
+    ) -> TieredSystem {
         let mut sys = TieredSystem::new(syscfg);
+        sys.enable_tracing(1 << 16);
         let w = PmbenchWorkload::new(PmbenchConfig::paper_skewed(4096, 0.7, 1));
         sys.add_process(w.address_space_pages(), PageSize::Base);
         let mut wls: Vec<Box<dyn Workload>> = vec![Box::new(w)];
-        let mut policy = CascadeChrono::for_system(test_config(), &sys);
         SimulationDriver::new(DriverConfig {
             run_for: Nanos::from_millis(run_ms),
             ..Default::default()
         })
-        .run(&mut sys, &mut wls, &mut policy);
+        .run(&mut sys, &mut wls, policy);
+        sys
+    }
+
+    fn run_cascade(syscfg: SystemConfig, run_ms: u64) -> (TieredSystem, CascadeChrono) {
+        let mut policy = CascadeChrono::new(test_config(), syscfg.num_tiers());
+        let sys = run_traced(syscfg, &mut policy, run_ms);
         (sys, policy)
     }
 
     #[test]
     fn two_tier_cascade_matches_standalone_chrono_exactly() {
-        // The cascade with one pair must be bit-identical to the standalone
-        // policy: same access count, same promotion/demotion totals, same
-        // FMAR bits.
-        let (casc_sys, _) = run_cascade(SystemConfig::dram_pmem(1024, 4096), 300);
-        let mut sys = TieredSystem::new(SystemConfig::dram_pmem(1024, 4096));
-        let w = PmbenchWorkload::new(PmbenchConfig::paper_skewed(4096, 0.7, 1));
-        sys.add_process(w.address_space_pages(), PageSize::Base);
-        let mut wls: Vec<Box<dyn Workload>> = vec![Box::new(w)];
-        let mut policy = ChronoPolicy::new(test_config());
-        SimulationDriver::new(DriverConfig {
-            run_for: Nanos::from_millis(300),
-            ..Default::default()
-        })
-        .run(&mut sys, &mut wls, &mut policy);
-        assert_eq!(casc_sys.stats.promoted_pages, sys.stats.promoted_pages);
-        assert_eq!(casc_sys.stats.demoted_pages, sys.stats.demoted_pages);
-        assert_eq!(casc_sys.stats.hint_faults, sys.stats.hint_faults);
-        assert_eq!(casc_sys.stats.fmar().to_bits(), sys.stats.fmar().to_bits());
+        // Every policy factory builds Chrono as a cascade, so the one-pair
+        // cascade must replay the standalone pair's trace bit for bit: in
+        // every tuning mode, both fault-free and under the canonical plan
+        // (copy faults plus a mid-run fast-tier shrink).
+        let run_ms = 300;
+        let modes = [
+            test_config().variant_full(),
+            test_config().variant_twice(),
+            test_config().variant_manual(120 * 1024 * 1024),
+        ];
+        for cfg in modes {
+            let mut clean_digest = None;
+            for plan in [
+                None,
+                Some(FaultPlan::canonical(3, Nanos::from_millis(run_ms))),
+            ] {
+                let faulty = plan.is_some();
+                let mut syscfg = SystemConfig::dram_pmem(1024, 4096);
+                syscfg.fault_plan = plan;
+                let mut solo = ChronoPolicy::new(cfg.clone());
+                let want = run_traced(syscfg.clone(), &mut solo, run_ms);
+                let mut casc = CascadeChrono::new(cfg.clone(), 2);
+                let got = run_traced(syscfg, &mut casc, run_ms);
+                let what = format!("{} (faults: {faulty})", solo.name());
+                assert_eq!(casc.name(), solo.name());
+                assert!(want.stats.promoted_pages > 0, "{what}: nothing promoted");
+                assert_eq!(
+                    got.trace.digest(),
+                    want.trace.digest(),
+                    "{what}: trace diverged"
+                );
+                assert_eq!(got.stats.promoted_pages, want.stats.promoted_pages);
+                assert_eq!(got.stats.demoted_pages, want.stats.demoted_pages);
+                assert_eq!(got.stats.hint_faults, want.stats.hint_faults);
+                assert_eq!(got.stats.fmar().to_bits(), want.stats.fmar().to_bits());
+                assert_eq!(casc.queue_flows(), vec![solo.queue_flow()], "{what}");
+                assert_eq!(casc.retry_flows(), vec![solo.retry_flow()], "{what}");
+                // The plan must actually perturb the run.
+                match clean_digest {
+                    None => clean_digest = Some(want.trace.digest()),
+                    Some(d) => assert_ne!(d, want.trace.digest(), "{what}: plan had no effect"),
+                }
+            }
+        }
     }
 
     #[test]

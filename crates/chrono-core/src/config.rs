@@ -175,10 +175,14 @@ impl ChronoConfig {
         self
     }
 
-    /// Semi-auto with an expert-chosen rate limit (Fig 13 "Chrono-manual").
+    /// Fully manual tuning (Fig 13 "Chrono-manual"): an expert-chosen rate
+    /// limit, with the CIT threshold held at its initial value.
     pub fn variant_manual(mut self, rate_limit: u64) -> ChronoConfig {
         self.filter_rounds = 2;
-        self.tuning = TuningMode::SemiAuto { rate_limit };
+        self.tuning = TuningMode::Manual {
+            cit_threshold: self.initial_cit_threshold,
+            rate_limit,
+        };
         self
     }
 
@@ -303,9 +307,14 @@ mod tests {
         assert_eq!(base.clone().variant_twice().filter_rounds, 2);
         assert_eq!(base.clone().variant_thrice().filter_rounds, 3);
         assert_eq!(base.clone().variant_full().tuning, TuningMode::Dcsc);
-        match base.variant_manual(7).tuning {
-            TuningMode::SemiAuto { rate_limit } => assert_eq!(rate_limit, 7),
-            other => panic!("unexpected {:?}", other),
-        }
+        let manual = base.clone().variant_manual(7);
+        assert_eq!(manual.filter_rounds, 2);
+        assert_eq!(
+            manual.tuning,
+            TuningMode::Manual {
+                cit_threshold: base.initial_cit_threshold,
+                rate_limit: 7,
+            }
+        );
     }
 }

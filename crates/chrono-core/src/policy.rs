@@ -109,6 +109,10 @@ pub struct ChronoPolicy {
     probe_first: PidVpnTable<Option<Nanos>>,
     /// Outstanding probes: (pid, vpn, issue time).
     probes: Vec<(ProcessId, Vpn, Nanos)>,
+    /// How many `probes` records name each `(pid, vpn)` (a page re-armed
+    /// before its stale record expires has two), so the cascade's
+    /// probe-fault routing is a table read rather than a scan of `probes`.
+    probe_records: PidVpnTable<u8>,
     cit_threshold: Nanos,
     /// Latest DCSC overlap point (bucket floor), anchoring the threshold.
     overlap_floor: Option<Nanos>,
@@ -196,6 +200,7 @@ impl ChronoPolicy {
             limits: LimitEnforcer::new(),
             probe_first: PidVpnTable::new(),
             probes: Vec::new(),
+            probe_records: PidVpnTable::new(),
             threshold_history: Vec::new(),
             rate_history: Vec::new(),
             collect_cit_samples: false,
@@ -344,7 +349,7 @@ impl ChronoPolicy {
     /// `pte`. The cascade uses this to route probe faults on a shared
     /// middle tier to the pair that armed the PTE.
     pub fn has_outstanding_probe(&self, pid: ProcessId, pte: Vpn) -> bool {
-        self.probes.iter().any(|&(p, v, _)| p == pid && v == pte)
+        self.probe_records.get(pid, pte).is_some_and(|&n| n > 0)
     }
 
     /// The per-region tracker, when `adaptive_tracking` is on.
@@ -930,6 +935,7 @@ impl ChronoPolicy {
                 // Completed (already counted) or aborted by a migration that
                 // cleared `PG_probed`; drop any stale first-round CIT so a
                 // future probe of this page starts fresh.
+                *self.probe_records.slot_mut(pid, pte) -= 1;
                 if let Some(s) = self.probe_first.get_mut(pid, pte) {
                     *s = None;
                 }
@@ -940,6 +946,7 @@ impl ChronoPolicy {
                 self.deposit_heat_sample(sys, pid, pte, age);
                 let e = sys.process_mut(pid).space.entry_mut(pte);
                 e.flags.clear(PageFlags::PROBED | PageFlags::PROT_NONE);
+                *self.probe_records.slot_mut(pid, pte) -= 1;
                 if let Some(s) = self.probe_first.get_mut(pid, pte) {
                     *s = None;
                 }
@@ -996,6 +1003,7 @@ impl ChronoPolicy {
             e.flags.set(PageFlags::PROBED | PageFlags::PROT_NONE);
             e.policy_word = stamp;
             self.probes.push((pid, pte, now));
+            *self.probe_records.slot_mut(pid, pte) += 1;
             issued += 1;
         }
         // Probe issuing is cheap kernel work (random PTE pokes).
@@ -1158,6 +1166,7 @@ impl TieringPolicy for ChronoPolicy {
         }
     }
 
+    #[inline]
     fn on_access(&mut self, sys: &mut TieredSystem, pid: ProcessId, vpn: Vpn, _write: bool) {
         // Sampled-frequency mode (adaptive tracking only): regions whose
         // fault overhead flipped them out of CIT tracking estimate hotness

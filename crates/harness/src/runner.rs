@@ -1,6 +1,6 @@
 //! Shared experiment plumbing: simulation scale, policy factory, run helper.
 
-use chrono_core::{CascadeChrono, ChronoConfig, ChronoPolicy};
+use chrono_core::{CascadeChrono, ChronoConfig};
 use sim_clock::Nanos;
 use tiered_mem::{FaultPlan, MigrationSpec, PageSize, SystemConfig, TierId, TieredSystem};
 use tiering_policies::{
@@ -234,7 +234,8 @@ pub enum PolicyKind {
     ChronoTwice,
     /// Three-round filtering, semi-auto tuning.
     ChronoThrice,
-    /// Semi-auto tuning with an expert-provided rate limit.
+    /// Manual tuning: an expert-provided rate limit and a fixed CIT
+    /// threshold.
     ChronoManual,
 }
 
@@ -276,23 +277,18 @@ impl PolicyKind {
         }
     }
 
-    /// Builds the policy at the given scale and topology. On a chain longer
-    /// than two tiers the Chrono variants come back as a [`CascadeChrono`]
-    /// (one pair per edge) and TPP / Multi-Clock as their hop-wise N-tier
-    /// generalizations; the remaining baselines have no chain-aware variant
-    /// and run their classic two-tier logic against the top edge.
+    /// Builds the policy at the given scale and topology. Every Chrono
+    /// variant comes back as a [`CascadeChrono`] with one pair per edge of
+    /// the chain (a two-tier chain is one pair), and TPP / Multi-Clock as
+    /// their hop-wise N-tier generalizations; the remaining baselines have
+    /// no chain-aware variant and run their classic two-tier logic against
+    /// the top edge.
     pub fn build(&self, scale: &Scale) -> Box<dyn TieringPolicy> {
         let sp = scale.scan_period;
         let step = scale.scan_step;
         let tiers = scale.topology.num_tiers();
-        // Chrono variants: a standalone pair on two tiers (the bit-pinned
-        // classic shape), a cascade on longer chains.
         let chrono = |cfg: ChronoConfig| -> Box<dyn TieringPolicy> {
-            if tiers == 2 {
-                Box::new(ChronoPolicy::new(cfg))
-            } else {
-                Box::new(CascadeChrono::new(cfg, tiers))
-            }
+            Box::new(CascadeChrono::new(cfg, tiers))
         };
         match self {
             PolicyKind::Static => Box::new(NullPolicy),

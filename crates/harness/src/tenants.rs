@@ -106,7 +106,7 @@ pub fn build_fleet(cfg: &FleetConfig) -> Vec<TenantShard> {
                 weights[i],
                 sys,
                 vec![Box::new(w) as Box<dyn Workload>],
-                cfg.policy.build_boxed_tiers(scan_period, 512, tiers),
+                cfg.policy.build(scan_period, 512, tiers).into_dyn(),
                 driver.clone(),
             )
         })

@@ -509,6 +509,14 @@ impl TieredSystem {
         &self.health
     }
 
+    /// Whether any tier is off `Online` or a tier event is still pending.
+    /// `false` guarantees an all-`Online` chain, so per-event policy checks
+    /// can skip [`Self::tier_health_all`] on fault-free runs.
+    #[inline]
+    pub fn tier_health_active(&self) -> bool {
+        self.health_active
+    }
+
     /// In-flight evacuation-lane pages (see the flow-conservation invariant
     /// on [`SystemStats::evacuated_pages`]). Exposed for the
     /// `tiering-verify` invariant oracle.

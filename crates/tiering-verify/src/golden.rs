@@ -18,8 +18,7 @@ use sim_clock::Nanos;
 use tiered_mem::FaultPlan;
 
 use crate::policy_fuzz::{
-    run_policy_case, run_policy_case_with_plan, run_three_tier_case, PolicyUnderTest, ALL_POLICIES,
-    THREE_TIER_POLICIES,
+    run_policy_case, run_policy_case_with_plan, PolicyUnderTest, ALL_POLICIES,
 };
 use crate::sharded::{run_sharded_case, run_sharded_tier_chaos_case, SHARD_GOLDEN_TENANTS};
 
@@ -98,7 +97,8 @@ pub fn compute_fault_golden() -> String {
          {GOLDEN_MILLIS} ms per tuning mode\n"
     ));
     for p in ALL_POLICIES.into_iter().filter(|p| p.is_chrono()) {
-        let r = run_policy_case_with_plan(p, FAULT_GOLDEN_SEED, GOLDEN_MILLIS, Some(plan.clone()));
+        let r =
+            run_policy_case_with_plan(p, FAULT_GOLDEN_SEED, GOLDEN_MILLIS, 2, Some(plan.clone()));
         out.push_str(&format!(
             "{:<16} {:016x} {}\n",
             r.policy, r.digest, r.accesses
@@ -138,27 +138,26 @@ pub fn compute_shard_golden(seed: u64) -> String {
 }
 
 /// Recomputes the three-tier snapshot for a seed: cascaded Chrono-DCSC and
-/// TPP-3 on the DRAM+CXL+PMem chain, one `<policy> <digest-hex> <accesses>`
-/// line each. Runs are invariant-checked while they execute, so a golden
-/// that drifts because the oracle now rejects the run fails loudly here
-/// instead of silently re-blessing.
+/// the hop-wise TPP generalization, run by the shared runner on the
+/// DRAM+CXL+PMem chain, one `<policy>3 <digest-hex> <accesses>` line each
+/// (`chrono-dcsc3`, `tpp3`). Runs are invariant-checked while they execute,
+/// so a golden that drifts because the oracle now rejects the run fails
+/// loudly here instead of silently re-blessing.
 pub fn compute_three_tier_golden(seed: u64) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "# tiering-verify three-tier golden: seed {seed:#010x}, DRAM+CXL+PMem, \
          {GOLDEN_MILLIS} ms per policy\n"
     ));
-    for p in THREE_TIER_POLICIES {
-        let r = run_three_tier_case(p, seed, GOLDEN_MILLIS);
+    for p in [PolicyUnderTest::ChronoDcsc, PolicyUnderTest::Tpp] {
+        let r = run_policy_case_with_plan(p, seed, GOLDEN_MILLIS, 3, None);
         assert!(
             r.clean(),
             "three-tier golden case {p:?}/{seed:#x} broke invariants: {:?}",
             r.violations
         );
-        out.push_str(&format!(
-            "{:<16} {:016x} {}\n",
-            r.policy, r.digest, r.accesses
-        ));
+        let label = format!("{}3", r.policy);
+        out.push_str(&format!("{label:<16} {:016x} {}\n", r.digest, r.accesses));
     }
     out
 }
@@ -398,6 +397,7 @@ mod tests {
                 crate::policy_fuzz::PolicyUnderTest::ChronoDcsc,
                 FAULT_GOLDEN_SEED,
                 5,
+                2,
                 Some(plan.clone()),
             )
         };

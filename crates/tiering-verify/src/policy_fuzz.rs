@@ -2,7 +2,7 @@
 //! with the invariant oracle attached to the driver's inspect hook, plus the
 //! differential determinism check (same seed ⇒ byte-identical trace digest).
 
-use chrono_core::{CascadeChrono, ChronoConfig, ChronoPolicy};
+use chrono_core::{CascadeChrono, ChronoConfig};
 use sim_clock::Nanos;
 use tiered_mem::{FaultPlan, PageSize, SystemConfig, TieredSystem};
 use tiering_policies::{
@@ -79,10 +79,17 @@ impl PolicyUnderTest {
         }
     }
 
-    /// Builds the policy at the fuzz scale. Chrono modes come back as the
-    /// concrete [`ChronoPolicy`] so queue-flow conservation can be checked
-    /// through its counters after the run.
-    fn build(&self, scan_period: Nanos, step: u32) -> BuiltPolicy {
+    /// Builds the policy at the fuzz scale over a chain of `tiers` managed
+    /// tiers. Every Chrono mode comes back as a [`CascadeChrono`] with one
+    /// pair per edge (a two-tier chain is one pair), held concretely so its
+    /// per-pair queue and retry flows can be conservation-checked after the
+    /// run; TPP and Multi-Clock come back as their hop-wise N-tier
+    /// generalizations. Policies without a chain-aware variant run their
+    /// classic logic against the top edge.
+    pub fn build(&self, scan_period: Nanos, step: u32, tiers: usize) -> BuiltPolicy {
+        let chrono =
+            |cfg: ChronoConfig| BuiltPolicy::Chrono(Box::new(CascadeChrono::new(cfg, tiers)));
+        let base = || Self::chrono_config(scan_period, step);
         match self {
             PolicyUnderTest::LinuxNb => {
                 BuiltPolicy::Other(Box::new(LinuxNumaBalancing::new(LinuxNbConfig {
@@ -99,20 +106,24 @@ impl PolicyUnderTest {
                     demote_interval: scan_period / 4,
                 })))
             }
-            PolicyUnderTest::MultiClock => {
-                BuiltPolicy::Other(Box::new(MultiClock::new(MultiClockConfig {
+            PolicyUnderTest::MultiClock => BuiltPolicy::Other(Box::new(MultiClock::for_tiers(
+                MultiClockConfig {
                     sweep_period: scan_period,
                     sweep_step_pages: step,
                     levels: 4,
                     promote_level: 3,
                     demote_interval: scan_period / 4,
-                })))
-            }
-            PolicyUnderTest::Tpp => BuiltPolicy::Other(Box::new(Tpp::new(TppConfig {
-                scan_period,
-                scan_step_pages: step,
-                demote_interval: scan_period / 4,
-            }))),
+                },
+                tiers,
+            ))),
+            PolicyUnderTest::Tpp => BuiltPolicy::Other(Box::new(Tpp::for_tiers(
+                TppConfig {
+                    scan_period,
+                    scan_step_pages: step,
+                    demote_interval: scan_period / 4,
+                },
+                tiers,
+            ))),
             PolicyUnderTest::Memtis => BuiltPolicy::Other(Box::new(Memtis::new(MemtisConfig {
                 sample_period: 512,
                 migrate_interval: scan_period / 10,
@@ -140,88 +151,9 @@ impl PolicyUnderTest {
                     demote_interval: scan_period / 2,
                 })))
             }
-            PolicyUnderTest::ChronoDcsc => BuiltPolicy::Chrono(Box::new(ChronoPolicy::new(
-                Self::chrono_config(scan_period, step).variant_full(),
-            ))),
-            PolicyUnderTest::ChronoSemiAuto => BuiltPolicy::Chrono(Box::new(ChronoPolicy::new(
-                Self::chrono_config(scan_period, step).variant_twice(),
-            ))),
-            PolicyUnderTest::ChronoManual => {
-                let base = Self::chrono_config(scan_period, step);
-                let cit = base.initial_cit_threshold;
-                BuiltPolicy::Chrono(Box::new(ChronoPolicy::new(ChronoConfig {
-                    tuning: chrono_core::TuningMode::Manual {
-                        cit_threshold: cit,
-                        rate_limit: 120 * 1024 * 1024,
-                    },
-                    ..base
-                })))
-            }
-        }
-    }
-
-    /// Builds the policy at the fuzz scale as a plain trait object — the
-    /// form tenant shards hold their policy instances in.
-    pub fn build_boxed(&self, scan_period: Nanos, step: u32) -> Box<dyn TieringPolicy> {
-        self.build(scan_period, step).into_dyn()
-    }
-
-    /// [`Self::build_boxed`] for a chain of `tiers` managed tiers. Two tiers
-    /// reproduce the classic build bit for bit; on longer chains the Chrono
-    /// modes come back as a [`CascadeChrono`] and TPP / Multi-Clock as their
-    /// hop-wise generalizations. Policies without a chain-aware variant run
-    /// their classic logic against the top edge.
-    pub fn build_boxed_tiers(
-        &self,
-        scan_period: Nanos,
-        step: u32,
-        tiers: usize,
-    ) -> Box<dyn TieringPolicy> {
-        if tiers == 2 {
-            return self.build_boxed(scan_period, step);
-        }
-        match self {
-            PolicyUnderTest::MultiClock => Box::new(MultiClock::for_tiers(
-                MultiClockConfig {
-                    sweep_period: scan_period,
-                    sweep_step_pages: step,
-                    levels: 4,
-                    promote_level: 3,
-                    demote_interval: scan_period / 4,
-                },
-                tiers,
-            )),
-            PolicyUnderTest::Tpp => Box::new(Tpp::for_tiers(
-                TppConfig {
-                    scan_period,
-                    scan_step_pages: step,
-                    demote_interval: scan_period / 4,
-                },
-                tiers,
-            )),
-            PolicyUnderTest::ChronoDcsc => Box::new(CascadeChrono::new(
-                Self::chrono_config(scan_period, step).variant_full(),
-                tiers,
-            )),
-            PolicyUnderTest::ChronoSemiAuto => Box::new(CascadeChrono::new(
-                Self::chrono_config(scan_period, step).variant_twice(),
-                tiers,
-            )),
-            PolicyUnderTest::ChronoManual => {
-                let base = Self::chrono_config(scan_period, step);
-                let cit = base.initial_cit_threshold;
-                Box::new(CascadeChrono::new(
-                    ChronoConfig {
-                        tuning: chrono_core::TuningMode::Manual {
-                            cit_threshold: cit,
-                            rate_limit: 120 * 1024 * 1024,
-                        },
-                        ..base
-                    },
-                    tiers,
-                ))
-            }
-            _ => self.build_boxed(scan_period, step),
+            PolicyUnderTest::ChronoDcsc => chrono(base().variant_full()),
+            PolicyUnderTest::ChronoSemiAuto => chrono(base().variant_twice()),
+            PolicyUnderTest::ChronoManual => chrono(base().variant_manual(120 * 1024 * 1024)),
         }
     }
 
@@ -237,11 +169,12 @@ impl PolicyUnderTest {
     }
 }
 
-/// A built policy: Chrono held concretely (its queue-flow counters are
-/// checked after the run), everything else behind the trait object.
-enum BuiltPolicy {
+/// A built policy: Chrono held concretely as its cascade (the per-pair flow
+/// counters are checked after the run), everything else behind the trait
+/// object.
+pub enum BuiltPolicy {
     /// One of the Chrono tuning modes.
-    Chrono(Box<ChronoPolicy>),
+    Chrono(Box<CascadeChrono>),
     /// Any other policy.
     Other(Box<dyn TieringPolicy>),
 }
@@ -254,7 +187,9 @@ impl BuiltPolicy {
         }
     }
 
-    fn into_dyn(self) -> Box<dyn TieringPolicy> {
+    /// The policy as a plain trait object — the form tenant shards hold
+    /// their policy instances in.
+    pub fn into_dyn(self) -> Box<dyn TieringPolicy> {
         match self {
             BuiltPolicy::Chrono(c) => c,
             BuiltPolicy::Other(b) => b,
@@ -303,27 +238,59 @@ pub(crate) fn case_shape(seed: u64) -> (u32, u32, u64) {
     (total_frames, pages, wl_seed)
 }
 
-/// Runs one policy over one seeded workload with the oracle attached to the
-/// driver's inspect hook (checked every `ORACLE_STRIDE` steps and once at the
-/// end). Returns the report; never panics on violations — callers decide.
+/// Runs one policy over one seeded workload on the classic two-tier shape,
+/// with the oracle attached to the driver's inspect hook (checked every
+/// `ORACLE_STRIDE` steps and once at the end). Returns the report; never
+/// panics on violations — callers decide.
 pub fn run_policy_case(policy: PolicyUnderTest, seed: u64, run_millis: u64) -> PolicyRunReport {
-    run_policy_case_with_plan(policy, seed, run_millis, None)
+    run_policy_case_with_plan(policy, seed, run_millis, 2, None)
 }
 
-/// [`run_policy_case`] with an optional fault plan attached to the system.
-/// The faulty goldens and the fault-storm policy sweep run through here;
-/// `None` reproduces the fault-free path bit for bit.
+/// [`run_policy_case`] on a chain of `tiers` managed tiers, with an optional
+/// fault plan attached to the system. Two tiers build the classic
+/// quarter-fast DRAM+PMem shape; three split the same capacity into a
+/// DRAM+CXL+PMem chain (1/8 : 1/4 : the rest). The faulty, three-tier and
+/// tier-chaos goldens and fuzz profiles all run through here; `None`
+/// reproduces the fault-free path bit for bit.
 pub fn run_policy_case_with_plan(
     policy: PolicyUnderTest,
     seed: u64,
     run_millis: u64,
+    tiers: usize,
     fault_plan: Option<FaultPlan>,
 ) -> PolicyRunReport {
+    run_case(policy, seed, run_millis, tiers, fault_plan).0
+}
+
+/// [`run_policy_case_with_plan`], also handing back the system and policy
+/// so tests can inspect their state after the run.
+fn run_case(
+    policy: PolicyUnderTest,
+    seed: u64,
+    run_millis: u64,
+    tiers: usize,
+    fault_plan: Option<FaultPlan>,
+) -> (PolicyRunReport, TieredSystem, BuiltPolicy) {
     const ORACLE_STRIDE: u64 = 128;
     const MAX_KEPT: usize = 8;
 
     let (total_frames, pages, wl_seed) = case_shape(seed);
-    let mut cfg = SystemConfig::quarter_fast(total_frames);
+    let mut cfg = match tiers {
+        2 => SystemConfig::quarter_fast(total_frames),
+        // Same total capacity split into a chain: a small top, a mid twice
+        // its size, and the remainder at the bottom.
+        3 => {
+            let fast = total_frames / 8;
+            let mid = total_frames / 4;
+            SystemConfig::three_tier(fast, mid, total_frames - fast - mid)
+        }
+        _ => panic!("the fuzz runner builds two- or three-tier chains, got {tiers}"),
+    };
+    if let Some(plan) = &fault_plan {
+        if let Err(e) = plan.validate_for(tiers) {
+            panic!("fault plan does not fit a {tiers}-tier chain: {e}");
+        }
+    }
     cfg.fault_plan = fault_plan;
     let mut sys = TieredSystem::new(cfg);
     sys.enable_tracing(1 << 12);
@@ -332,7 +299,7 @@ pub fn run_policy_case_with_plan(
     let mut wls: Vec<Box<dyn Workload>> = vec![Box::new(w)];
 
     let scan_period = Nanos::from_millis(5);
-    let mut built = policy.build(scan_period, 512);
+    let mut built = policy.build(scan_period, 512, tiers);
 
     let mut oracle = InvariantOracle::new();
     let mut violations: Vec<Violation> = Vec::new();
@@ -359,18 +326,18 @@ pub fn run_policy_case_with_plan(
         violations.truncate(MAX_KEPT);
     }
 
-    // Chrono modes additionally expose promotion-queue and retry-pool flow
-    // counters; check conservation through the concrete policy handle.
+    // Chrono modes additionally expose per-pair promotion-queue and
+    // retry-pool flow counters; check conservation on every edge.
     if let BuiltPolicy::Chrono(c) = &built {
-        if let Some(v) = InvariantOracle::check_queue_flow(&c.queue_flow()) {
-            violations.push(v);
+        for f in c.queue_flows() {
+            violations.extend(InvariantOracle::check_queue_flow(&f));
         }
-        if let Some(v) = InvariantOracle::check_retry_flow(&c.retry_flow()) {
-            violations.push(v);
+        for f in c.retry_flows() {
+            violations.extend(InvariantOracle::check_retry_flow(&f));
         }
     }
 
-    PolicyRunReport {
+    let report = PolicyRunReport {
         policy: policy.name(),
         seed,
         digest: sys.trace.digest(),
@@ -379,7 +346,8 @@ pub fn run_policy_case_with_plan(
         tier_health_transitions: sys.stats.tier_health_transitions,
         evacuated_pages: sys.stats.evacuated_pages,
         violations,
-    }
+    };
+    (report, sys, built)
 }
 
 /// Differential determinism check: runs the policy twice on the same seed
@@ -388,141 +356,6 @@ pub fn determinism_digests(policy: PolicyUnderTest, seed: u64, run_millis: u64) 
     let a = run_policy_case(policy, seed, run_millis);
     let b = run_policy_case(policy, seed, run_millis);
     (a.digest, b.digest)
-}
-
-/// Policies snapshotted on the three-tier golden chain: cascaded Chrono
-/// (full DCSC tuning per edge) and the hop-wise TPP generalization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThreeTierPolicy {
-    /// [`CascadeChrono`] over three managed tiers (two edges).
-    ChronoDcsc3,
-    /// [`Tpp`] generalized to three managed tiers.
-    Tpp3,
-}
-
-/// All three-tier golden policies, in the order the snapshot table uses.
-pub const THREE_TIER_POLICIES: [ThreeTierPolicy; 2] =
-    [ThreeTierPolicy::ChronoDcsc3, ThreeTierPolicy::Tpp3];
-
-impl ThreeTierPolicy {
-    /// Stable display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ThreeTierPolicy::ChronoDcsc3 => "chrono-dcsc3",
-            ThreeTierPolicy::Tpp3 => "tpp3",
-        }
-    }
-}
-
-/// Runs one three-tier policy over the seeded workload shape on a
-/// DRAM+CXL+PMem chain, with the oracle attached exactly as
-/// [`run_policy_case`] does. The cascade's per-pair queue/retry flows are
-/// conservation-checked after the run.
-pub fn run_three_tier_case(policy: ThreeTierPolicy, seed: u64, run_millis: u64) -> PolicyRunReport {
-    run_three_tier_case_with_plan(policy, seed, run_millis, None)
-}
-
-/// [`run_three_tier_case`] with an optional fault plan attached — the
-/// tier-chaos fuzz profile runs through here with plans that take whole
-/// tiers offline mid-run. `None` reproduces the fault-free path bit for
-/// bit.
-pub fn run_three_tier_case_with_plan(
-    policy: ThreeTierPolicy,
-    seed: u64,
-    run_millis: u64,
-    fault_plan: Option<FaultPlan>,
-) -> PolicyRunReport {
-    const ORACLE_STRIDE: u64 = 128;
-    const MAX_KEPT: usize = 8;
-
-    let (total_frames, pages, wl_seed) = case_shape(seed);
-    // Same total capacity as the two-tier shape, split into a chain: a small
-    // top, a mid twice its size, and the remainder at the bottom.
-    let fast = total_frames / 8;
-    let mid = total_frames / 4;
-    let mut cfg = SystemConfig::three_tier(fast, mid, total_frames - fast - mid);
-    if let Some(plan) = &fault_plan {
-        plan.validate_for(3).expect("plan fits a three-tier chain");
-    }
-    cfg.fault_plan = fault_plan;
-    let mut sys = TieredSystem::new(cfg);
-    sys.enable_tracing(1 << 12);
-    let w = PmbenchWorkload::new(PmbenchConfig::paper_skewed(pages, 0.7, wl_seed));
-    sys.add_process(w.address_space_pages(), PageSize::Base);
-    let mut wls: Vec<Box<dyn Workload>> = vec![Box::new(w)];
-
-    let scan_period = Nanos::from_millis(5);
-    let mut cascade: Option<Box<CascadeChrono>> = None;
-    let mut other: Option<Box<dyn TieringPolicy>> = None;
-    match policy {
-        ThreeTierPolicy::ChronoDcsc3 => {
-            let cfg = PolicyUnderTest::chrono_config(scan_period, 512).variant_full();
-            cascade = Some(Box::new(CascadeChrono::new(cfg, 3)));
-        }
-        ThreeTierPolicy::Tpp3 => {
-            other = Some(Box::new(Tpp::for_tiers(
-                TppConfig {
-                    scan_period,
-                    scan_step_pages: 512,
-                    demote_interval: scan_period / 4,
-                },
-                3,
-            )));
-        }
-    }
-    let policy_dyn: &mut dyn TieringPolicy = match (&mut cascade, &mut other) {
-        (Some(c), _) => &mut **c,
-        (_, Some(o)) => &mut **o,
-        _ => unreachable!(),
-    };
-
-    let mut oracle = InvariantOracle::new();
-    let mut violations: Vec<Violation> = Vec::new();
-    let mut steps = 0u64;
-    let driver = SimulationDriver::new(DriverConfig {
-        run_for: Nanos::from_millis(run_millis),
-        ..Default::default()
-    });
-    let result = driver.run_inspected(
-        &mut sys,
-        &mut wls,
-        policy_dyn,
-        |_, _, _, _| {},
-        |s| {
-            steps += 1;
-            if steps.is_multiple_of(ORACLE_STRIDE) && violations.len() < MAX_KEPT {
-                violations.extend(oracle.check(s));
-                violations.truncate(MAX_KEPT);
-            }
-        },
-    );
-    if violations.len() < MAX_KEPT {
-        violations.extend(oracle.check(&sys));
-        violations.truncate(MAX_KEPT);
-    }
-    if let Some(c) = &cascade {
-        for f in c.queue_flows() {
-            if let Some(v) = InvariantOracle::check_queue_flow(&f) {
-                violations.push(v);
-            }
-        }
-        for f in c.retry_flows() {
-            if let Some(v) = InvariantOracle::check_retry_flow(&f) {
-                violations.push(v);
-            }
-        }
-    }
-
-    PolicyRunReport {
-        policy: policy.name(),
-        seed,
-        digest: sys.trace.digest(),
-        accesses: result.accesses,
-        oracle_checks: oracle.checks,
-        tier_health_transitions: sys.stats.tier_health_transitions,
-        evacuated_pages: sys.stats.evacuated_pages,
-        violations,
-    }
 }
 
 /// One tier-chaos fuzz case: a three-tier cascade run under a seed-chosen
@@ -539,8 +372,9 @@ pub fn fuzz_one_tier_chaos(seed: u64, run_millis: u64) -> PolicyRunReport {
     } else {
         FaultPlan::storm3(seed, horizon)
     };
-    let policy = THREE_TIER_POLICIES[(seed >> 1) as usize % THREE_TIER_POLICIES.len()];
-    run_three_tier_case_with_plan(policy, seed, run_millis, Some(plan))
+    let policies = [PolicyUnderTest::ChronoDcsc, PolicyUnderTest::Tpp];
+    let policy = policies[(seed >> 1) as usize % policies.len()];
+    run_policy_case_with_plan(policy, seed, run_millis, 3, Some(plan))
 }
 
 #[cfg(test)]
@@ -566,8 +400,8 @@ mod tests {
     fn chrono_modes_run_clean_and_deterministic_under_canonical_faults() {
         let plan = FaultPlan::canonical(7, Nanos::from_millis(20));
         for p in ALL_POLICIES.into_iter().filter(|p| p.is_chrono()) {
-            let a = run_policy_case_with_plan(p, 0x5EED, 20, Some(plan.clone()));
-            let b = run_policy_case_with_plan(p, 0x5EED, 20, Some(plan.clone()));
+            let a = run_policy_case_with_plan(p, 0x5EED, 20, 2, Some(plan.clone()));
+            let b = run_policy_case_with_plan(p, 0x5EED, 20, 2, Some(plan.clone()));
             assert!(a.clean(), "{} violated: {:?}", a.policy, a.violations);
             assert_eq!(
                 a.digest, b.digest,
@@ -583,9 +417,9 @@ mod tests {
 
     #[test]
     fn three_tier_policies_run_clean_and_deterministic() {
-        for p in THREE_TIER_POLICIES {
-            let a = run_three_tier_case(p, 0x5EED, 20);
-            let b = run_three_tier_case(p, 0x5EED, 20);
+        for p in [PolicyUnderTest::ChronoDcsc, PolicyUnderTest::Tpp] {
+            let a = run_policy_case_with_plan(p, 0x5EED, 20, 3, None);
+            let b = run_policy_case_with_plan(p, 0x5EED, 20, 3, None);
             assert!(a.accesses > 0, "{} did nothing", a.policy);
             assert!(a.clean(), "{} violated: {:?}", a.policy, a.violations);
             assert_eq!(a.digest, b.digest, "{} nondeterministic", a.policy);
@@ -618,6 +452,52 @@ mod tests {
             evacuated > 0,
             "no evacuation lane traffic across chaos seeds"
         );
+    }
+
+    #[test]
+    fn two_tier_slow_tier_offline_evacuates_and_rejoins() {
+        // The two-tier sibling of the cascade's mid-tier outage test: the
+        // slow tier of a DRAM+PMem chain goes offline (live evacuation
+        // window) and rejoins, under the factory-built one-pair cascade.
+        let run_millis = 25;
+        let plan = FaultPlan {
+            tier_events: crate::sharded::shard_tier_chaos_events(run_millis),
+            ..FaultPlan::inert(0x5EED)
+        };
+        let (r, sys, built) = run_case(
+            PolicyUnderTest::ChronoDcsc,
+            0x5EED,
+            run_millis,
+            2,
+            Some(plan),
+        );
+        assert!(r.clean(), "violations: {:?}", r.violations);
+        let s = &sys.stats;
+        assert!(s.tier_health_transitions > 0);
+        assert!(s.evacuated_pages > 0, "no evacuation happened");
+        assert_eq!(
+            s.evacuated_pages,
+            s.evac_rehomed_pages
+                + s.evac_swapped_pages
+                + s.evac_faulted_pages
+                + sys.in_flight_evac_pages(),
+            "evacuation flow not conserved: {s:?}"
+        );
+        let BuiltPolicy::Chrono(c) = built else {
+            panic!("Chrono must build as a cascade");
+        };
+        assert_eq!(c.pairs().len(), 1);
+        assert!(c.pairs()[0].breaker_trips() > 0, "pair 0 never tripped");
+        assert!(
+            c.suspended_pairs().iter().all(|s| !s),
+            "a pair is still suspended after the rejoin"
+        );
+        for (i, f) in c.queue_flows().iter().enumerate() {
+            assert!(f.conserved(), "pair {i} queue flow: {f:?}");
+        }
+        for (i, f) in c.retry_flows().iter().enumerate() {
+            assert!(f.conserved(), "pair {i} retry flow: {f:?}");
+        }
     }
 
     #[test]

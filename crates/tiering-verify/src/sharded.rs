@@ -139,7 +139,7 @@ fn build_shards(
             1,
             sys,
             vec![Box::new(w)],
-            policy_for(0).build_boxed(scan_period, 512),
+            policy_for(0).build(scan_period, 512, 2).into_dyn(),
             driver,
         );
         let plan = PartitionPlan::split_even(total_frames / 4, total_frames - total_frames / 4, 1);
@@ -171,7 +171,7 @@ fn build_shards(
                 weights[i],
                 sys,
                 vec![Box::new(w) as Box<dyn Workload>],
-                policy_for(i as u32).build_boxed(scan_period, 512),
+                policy_for(i as u32).build(scan_period, 512, 2).into_dyn(),
                 driver.clone(),
             )
         })

@@ -7,9 +7,9 @@
 use chrono_repro::sim_clock::Nanos;
 use chrono_repro::tiered_mem::FaultPlan;
 use chrono_repro::tiering_verify::{
-    determinism_digests, golden, run_policy_case, run_sharded_case, run_sharded_case_permuted,
-    run_sharded_case_with_plans, run_three_tier_case, PolicyUnderTest, ALL_POLICIES,
-    SHARD_GOLDEN_TENANTS, THREE_TIER_POLICIES,
+    determinism_digests, golden, run_policy_case, run_policy_case_with_plan, run_sharded_case,
+    run_sharded_case_permuted, run_sharded_case_with_plans, PolicyUnderTest, ALL_POLICIES,
+    SHARD_GOLDEN_TENANTS,
 };
 
 /// Parses one golden table line: `<policy> <digest-hex> <accesses> [tenant
@@ -177,11 +177,14 @@ fn three_tier_goldens_match_recomputation() {
     for &seed in &golden::GOLDEN_SEEDS {
         let table = std::fs::read_to_string(golden::three_tier_golden_path(seed))
             .expect("committed three-tier golden missing — run `harness verify --bless`");
-        for (i, line) in table.lines().filter(|l| !l.starts_with('#')).enumerate() {
+        for line in table.lines().filter(|l| !l.starts_with('#')) {
             let (name, digest, accesses, _) = parse_golden_line(line);
-            let p = THREE_TIER_POLICIES[i];
-            assert_eq!(p.name(), name, "three-tier golden table order drifted");
-            let r = run_three_tier_case(p, seed, golden::GOLDEN_MILLIS);
+            // Rows are labelled `<policy>3`.
+            let p = ALL_POLICIES
+                .into_iter()
+                .find(|p| name.strip_suffix('3') == Some(p.name()))
+                .unwrap_or_else(|| panic!("three-tier golden names unknown policy {name}"));
+            let r = run_policy_case_with_plan(p, seed, golden::GOLDEN_MILLIS, 3, None);
             assert_eq!(
                 r.digest, digest,
                 "{name}/{seed:#x}: three-tier digest diverged from committed golden"

@@ -59,6 +59,11 @@ fn fig13_cell_covers_ablations() {
         let v = fig13::run_cell(kind, &scale, 0.7);
         assert!(v > 0.0, "{} produced no throughput", kind.name());
     }
+    // Chrono-manual is its own tuning mode, not a copy of Chrono-twice.
+    assert_eq!(
+        PolicyKind::ChronoManual.build(&scale).name(),
+        "Chrono-manual"
+    );
 }
 
 #[test]
