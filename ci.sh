@@ -18,16 +18,13 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo clippy -- -D warnings"
-cargo clippy --all-targets -- -D warnings
-
-echo "== cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== harness lint (chrono-lint: zero unwaived findings)"
 ./target/release/harness lint
 
-echo "== harness model-check (exhaustive PageFlags lifecycle vs golden)"
+echo "== harness model-check (exhaustive PageFlags lifecycle and tier-health models vs goldens)"
 ./target/release/harness model-check
 
 echo "== harness race-check (exhaustive shard-interleaving model + injected-bug self-test)"

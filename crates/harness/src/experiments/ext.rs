@@ -19,7 +19,7 @@ use tiering_policies::{
 };
 use workloads::{PhasedWorkload, PmbenchConfig, PmbenchWorkload, Workload};
 
-use crate::runner::{quarter_system, PolicyKind, Scale};
+use crate::runner::{quarter_system, PolicyKind, Scale, MEMTIS_SAMPLE_PERIOD};
 
 /// Builds the two Table-1-only baselines at the given scale.
 fn extended_policy(name: &str, scale: &Scale) -> Box<dyn TieringPolicy> {
@@ -33,7 +33,7 @@ fn extended_policy(name: &str, scale: &Scale) -> Box<dyn TieringPolicy> {
             demote_interval: scale.scan_period / 4,
         })),
         "FlexMem" => Box::new(FlexMem::new(FlexMemConfig {
-            sample_period: scale.memtis_sample_period,
+            sample_period: MEMTIS_SAMPLE_PERIOD,
             scan_period: scale.scan_period,
             scan_step_pages: scale.scan_step,
             migrate_interval: scale.scan_period / 10,

@@ -5,7 +5,7 @@ use tiering_metrics::{ConfusionCounts, Table};
 use tiering_policies::{DriverConfig, Memtis, MemtisConfig, SimulationDriver};
 use workloads::{PmbenchConfig, PmbenchWorkload, Workload};
 
-use crate::runner::{quarter_system, PolicyKind, Scale};
+use crate::runner::{quarter_system, PolicyKind, Scale, MEMTIS_SAMPLE_PERIOD};
 
 const PROCS: usize = 8;
 const PAGES_PER_PROC: u32 = 2048;
@@ -116,7 +116,7 @@ pub fn run_2b(scale: &Scale) -> String {
             wls.push(Box::new(w));
         }
         let mut policy = Memtis::new(MemtisConfig {
-            sample_period: scale.memtis_sample_period,
+            sample_period: MEMTIS_SAMPLE_PERIOD,
             migrate_interval: scale.scan_period / 10,
             cooling_interval: scale.scan_period * 4,
             adjust_interval: scale.scan_period / 2,

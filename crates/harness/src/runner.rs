@@ -1,14 +1,14 @@
 //! Shared experiment plumbing: simulation scale, policy factory, run helper.
 
-use chrono_core::{CascadeChrono, ChronoConfig};
 use sim_clock::Nanos;
 use tiered_mem::{FaultPlan, MigrationSpec, PageSize, SystemConfig, TierId, TieredSystem};
-use tiering_policies::{
-    autotiering::AutoTieringConfig, linux_nb::LinuxNbConfig, multiclock::MultiClockConfig,
-    tpp::TppConfig, AutoTiering, DriverConfig, LinuxNumaBalancing, Memtis, MemtisConfig,
-    MultiClock, NullPolicy, RunResult, SimulationDriver, TieringPolicy, Tpp,
-};
+use tiering_policies::{DriverConfig, RunResult, SimulationDriver, TieringPolicy};
+use tiering_verify::PolicyUnderTest;
 use workloads::Workload;
+
+/// Mean accesses per PEBS sample for Memtis at the harness scale (models
+/// the hardware cap relative to the compressed access rate).
+pub const MEMTIS_SAMPLE_PERIOD: u64 = 8192;
 
 /// Simulation time scale shared by all experiments.
 ///
@@ -25,9 +25,6 @@ pub struct Scale {
     pub scan_step: u32,
     /// Simulated run length.
     pub run_for: Nanos,
-    /// Mean accesses per PEBS sample for Memtis (models the hardware cap
-    /// relative to the compressed access rate).
-    pub memtis_sample_period: u64,
     /// Migration-engine admission bounds override (the CLI
     /// `--inflight-slots` / `--migration-backlog-cap` knobs); `None` keeps
     /// the library defaults.
@@ -196,7 +193,6 @@ impl Scale {
             scan_period: Nanos::from_millis(100),
             scan_step: 1024,
             run_for: Nanos::from_millis(1500),
-            memtis_sample_period: 8192,
             migration: None,
             fault: None,
             fault_seed: 0xFA17,
@@ -277,81 +273,31 @@ impl PolicyKind {
         }
     }
 
-    /// Builds the policy at the given scale and topology. Every Chrono
-    /// variant comes back as a [`CascadeChrono`] with one pair per edge of
-    /// the chain (a two-tier chain is one pair), and TPP / Multi-Clock as
-    /// their hop-wise N-tier generalizations; the remaining baselines have
-    /// no chain-aware variant and run their classic two-tier logic against
-    /// the top edge.
+    /// Builds the policy at the given scale and topology from the one
+    /// policy catalogue, [`PolicyUnderTest::build`], with the harness-scale
+    /// Memtis sample period ([`MEMTIS_SAMPLE_PERIOD`]).
     pub fn build(&self, scale: &Scale) -> Box<dyn TieringPolicy> {
-        let sp = scale.scan_period;
-        let step = scale.scan_step;
-        let tiers = scale.topology.num_tiers();
-        let chrono = |cfg: ChronoConfig| -> Box<dyn TieringPolicy> {
-            Box::new(CascadeChrono::new(cfg, tiers))
+        let entry = match self {
+            PolicyKind::Static => PolicyUnderTest::Static,
+            PolicyKind::LinuxNb => PolicyUnderTest::LinuxNb,
+            PolicyKind::AutoTiering => PolicyUnderTest::AutoTiering,
+            PolicyKind::MultiClock => PolicyUnderTest::MultiClock,
+            PolicyKind::Tpp => PolicyUnderTest::Tpp,
+            PolicyKind::Memtis => PolicyUnderTest::Memtis,
+            PolicyKind::Chrono => PolicyUnderTest::ChronoDcsc,
+            PolicyKind::ChronoBasic => PolicyUnderTest::ChronoBasic,
+            PolicyKind::ChronoTwice => PolicyUnderTest::ChronoSemiAuto,
+            PolicyKind::ChronoThrice => PolicyUnderTest::ChronoThrice,
+            PolicyKind::ChronoManual => PolicyUnderTest::ChronoManual,
         };
-        match self {
-            PolicyKind::Static => Box::new(NullPolicy),
-            PolicyKind::LinuxNb => Box::new(LinuxNumaBalancing::new(LinuxNbConfig {
-                scan_period: sp,
-                scan_step_pages: step,
-                promote_tier_frac_per_period: 0.23,
-            })),
-            PolicyKind::AutoTiering => Box::new(AutoTiering::new(AutoTieringConfig {
-                scan_period: sp,
-                scan_step_pages: step,
-                hot_lap_bits: 2,
-                demote_interval: sp / 4,
-            })),
-            PolicyKind::MultiClock => Box::new(MultiClock::for_tiers(
-                MultiClockConfig {
-                    sweep_period: sp,
-                    sweep_step_pages: step,
-                    levels: 4,
-                    promote_level: 3,
-                    demote_interval: sp / 4,
-                },
-                tiers,
-            )),
-            PolicyKind::Tpp => Box::new(Tpp::for_tiers(
-                TppConfig {
-                    scan_period: sp,
-                    scan_step_pages: step,
-                    demote_interval: sp / 4,
-                },
-                tiers,
-            )),
-            PolicyKind::Memtis => Box::new(Memtis::new(MemtisConfig {
-                sample_period: scale.memtis_sample_period,
-                migrate_interval: sp / 10,
-                cooling_interval: sp * 4,
-                adjust_interval: sp / 2,
-                fast_fill_ratio: 0.95,
-                split_enabled: true,
-                seed: 0x4D454D,
-            })),
-            PolicyKind::Chrono => chrono(self.chrono_config(scale)),
-            PolicyKind::ChronoBasic => chrono(self.chrono_config(scale).variant_basic()),
-            PolicyKind::ChronoTwice => chrono(self.chrono_config(scale).variant_twice()),
-            PolicyKind::ChronoThrice => chrono(self.chrono_config(scale).variant_thrice()),
-            PolicyKind::ChronoManual => chrono(
-                // The paper configures Chrono-manual with the per-minute
-                // averages of the adaptive tuning results (~120 MB/s stable).
-                self.chrono_config(scale).variant_manual(120 * 1024 * 1024),
-            ),
-        }
-    }
-
-    /// The scaled Chrono configuration used by all Chrono variants.
-    pub fn chrono_config(&self, scale: &Scale) -> ChronoConfig {
-        ChronoConfig {
-            // Denser probing than the paper's 0.003 % because the scaled
-            // systems have ~10^4–10^5 pages rather than 6×10^7; the probe
-            // *count per DCSC round* (a few thousand on the testbed) is the
-            // quantity preserved.
-            p_victim: 0.002,
-            ..ChronoConfig::scaled(scale.scan_period, scale.scan_step)
-        }
+        entry
+            .build(
+                scale.scan_period,
+                scale.scan_step,
+                scale.topology.num_tiers(),
+                MEMTIS_SAMPLE_PERIOD,
+            )
+            .into_dyn()
     }
 }
 

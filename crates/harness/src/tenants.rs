@@ -20,7 +20,7 @@ use tiered_mem::{PageSize, PartitionPlan, TierId, TieredSystem};
 use tiering_policies::{
     AdmissionConfig, DriverConfig, ShardedConfig, ShardedRunResult, ShardedSim, TenantShard,
 };
-use tiering_verify::{tenant_weights, PolicyUnderTest, ALL_POLICIES};
+use tiering_verify::{tenant_weights, PolicyUnderTest, ALL_POLICIES, FUZZ_MEMTIS_SAMPLE_PERIOD};
 use workloads::{PmbenchConfig, PmbenchWorkload, Workload};
 
 /// Stream id per-tenant workload seeds are split on (xored with tenant id).
@@ -106,7 +106,9 @@ pub fn build_fleet(cfg: &FleetConfig) -> Vec<TenantShard> {
                 weights[i],
                 sys,
                 vec![Box::new(w) as Box<dyn Workload>],
-                cfg.policy.build(scan_period, 512, tiers).into_dyn(),
+                cfg.policy
+                    .build(scan_period, 512, tiers, FUZZ_MEMTIS_SAMPLE_PERIOD)
+                    .into_dyn(),
                 driver.clone(),
             )
         })

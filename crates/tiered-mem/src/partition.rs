@@ -128,33 +128,24 @@ impl PartitionPlan {
     /// [`MIN_FAST_FRAMES`] floor, every deeper tier [`MIN_SLOW_FRAMES`].
     /// Panics if any pool cannot cover its floor.
     pub fn split_weighted_tiers(totals: &[u32], weights: &[u64]) -> PartitionPlan {
-        PartitionPlan::split_tiers_inner(totals, weights, None)
-    }
-
-    fn split_tiers_inner(
-        totals: &[u32],
-        weights: &[u64],
-        excluded: Option<TierId>,
-    ) -> PartitionPlan {
         assert!(
             (2..=MAX_TIERS).contains(&totals.len()),
             "a partition plan spans 2..={MAX_TIERS} tiers, got {}",
             totals.len()
         );
         let ntiers = totals.len();
-        let mut shares: Vec<Vec<u32>> = Vec::with_capacity(ntiers);
-        for (t, &total) in totals.iter().enumerate() {
-            // A spliced-out tier contributes nothing: zero pool, zero floor.
-            let spliced = excluded.is_some_and(|e| e.index() == t);
-            let (pool, min) = if spliced {
-                (0, 0)
-            } else if t == 0 {
-                (total, MIN_FAST_FRAMES)
-            } else {
-                (total, MIN_SLOW_FRAMES)
-            };
-            shares.push(apportion(pool, weights, min));
-        }
+        let shares: Vec<Vec<u32>> = totals
+            .iter()
+            .enumerate()
+            .map(|(t, &total)| {
+                let min = if t == 0 {
+                    MIN_FAST_FRAMES
+                } else {
+                    MIN_SLOW_FRAMES
+                };
+                apportion(total, weights, min)
+            })
+            .collect();
         let tenants = weights.len();
         let mut parts = Vec::with_capacity(tenants);
         let mut cursors = [0u64; MAX_TIERS];
@@ -175,42 +166,11 @@ impl PartitionPlan {
         }
         let mut padded = [0u32; MAX_TIERS];
         padded[..ntiers].copy_from_slice(totals);
-        if let Some(e) = excluded {
-            padded[e.index()] = 0;
-        }
         PartitionPlan {
             parts,
             totals: padded,
             ntiers: ntiers as u8,
         }
-    }
-
-    /// Re-splits this plan's global pools with `offline`'s pool withdrawn —
-    /// the chain-healing shape after a tier goes [`Offline`] and is spliced
-    /// out. Every tenant's share in that tier collapses to zero frames (no
-    /// floor applies to a spliced-out tier), while every healthy tier keeps
-    /// its floor-enforced weighted split, byte-identical to a fresh
-    /// [`split_weighted_tiers`] over the same pools. The result still
-    /// [`covers_exactly`]: the withdrawn tier's recorded total is zero, so
-    /// the contiguous/disjoint/exhaustive identity holds per tier.
-    ///
-    /// [`Offline`]: crate::tier::TierHealth::Offline
-    /// [`split_weighted_tiers`]: PartitionPlan::split_weighted_tiers
-    /// [`covers_exactly`]: PartitionPlan::covers_exactly
-    pub fn resplit_excluding(&self, offline: TierId, weights: &[u64]) -> PartitionPlan {
-        assert!(
-            offline.index() < self.num_tiers(),
-            "cannot splice tier {} out of a {}-tier plan",
-            offline.index(),
-            self.num_tiers()
-        );
-        assert_eq!(
-            weights.len(),
-            self.tenants(),
-            "re-split must keep the tenant count"
-        );
-        let totals: Vec<u32> = (0..self.num_tiers()).map(|t| self.totals[t]).collect();
-        PartitionPlan::split_tiers_inner(&totals, weights, Some(offline))
     }
 
     /// Two-tier compat: splits `total_fast`/`total_slow` frames across
@@ -410,69 +370,6 @@ mod tests {
         assert_eq!((p.fast_frames(), p.slow_frames()), (777, 2048));
         assert_eq!(p.global_fast_pfn(776), 776);
         assert_eq!(p.global_slow_pfn(2047), 2047);
-    }
-
-    #[test]
-    fn resplit_excluding_offline_tier_keeps_identity_and_floors() {
-        let weights = [5u64, 1, 3];
-        let plan = PartitionPlan::split_weighted_tiers(&[256, 512, 1024], &weights);
-        assert_capacity_identity(&plan);
-        let mid = TierId(1);
-        let healed = plan.resplit_excluding(mid, &weights);
-        // The healed plan still spans three tier slots but the spliced-out
-        // tier's pool is withdrawn entirely: zero total, zero per tenant.
-        assert_eq!(healed.num_tiers(), 3);
-        assert_capacity_identity(&healed);
-        assert_eq!(healed.total(mid), 0);
-        for p in healed.parts() {
-            assert_eq!(p.frames(mid), 0);
-            assert!(p.frames(TierId::FAST) >= MIN_FAST_FRAMES);
-            assert!(p.frames(TierId(2)) >= MIN_SLOW_FRAMES);
-        }
-        // Healthy tiers re-split byte-identically to the original plan: the
-        // withdrawn pool never fed the other tiers' apportionment.
-        for t in [TierId::FAST, TierId(2)] {
-            assert_eq!(healed.total(t), plan.total(t));
-            for (a, b) in plan.parts().iter().zip(healed.parts()) {
-                assert_eq!(a.frames(t), b.frames(t));
-                assert_eq!(a.base(t), b.base(t));
-            }
-        }
-        // Deterministic: re-splitting twice gives the same partitions.
-        let again = plan.resplit_excluding(mid, &weights);
-        assert_eq!(healed.parts(), again.parts());
-    }
-
-    #[test]
-    fn resplit_excluding_edge_tiers_covers_exactly() {
-        // Splicing out either end of the chain (dying FAST device, dying
-        // capacity tier) still yields an exact cover with floors intact on
-        // the survivors — the floor rule is per healthy tier, not global.
-        let weights = [2u64, 2, 1, 1];
-        let plan = PartitionPlan::split_weighted_tiers(&[128, 256, 512], &weights);
-        for dead in [TierId::FAST, TierId(2)] {
-            let healed = plan.resplit_excluding(dead, &weights);
-            assert_capacity_identity(&healed);
-            assert_eq!(healed.total(dead), 0);
-            for p in healed.parts() {
-                assert_eq!(p.frames(dead), 0);
-            }
-            for t in (0..3).map(|i| TierId(i as u8)).filter(|&t| t != dead) {
-                let floor = if t == TierId::FAST {
-                    MIN_FAST_FRAMES
-                } else {
-                    MIN_SLOW_FRAMES
-                };
-                assert!(healed.parts().iter().all(|p| p.frames(t) >= floor));
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "tenant count")]
-    fn resplit_excluding_rejects_tenant_count_change() {
-        let plan = PartitionPlan::split_even(256, 512, 3);
-        plan.resplit_excluding(TierId(1), &[1, 1]);
     }
 
     #[test]

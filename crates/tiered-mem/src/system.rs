@@ -1515,9 +1515,7 @@ impl TieredSystem {
     }
 
     /// Applies one tier failure-domain event immediately (the fault plan
-    /// services its scheduled events through here; the sharded runner calls
-    /// it directly at barriers, in tenant-id order, so fleet chaos replays
-    /// identically at any thread count).
+    /// services its scheduled events through here; tests call it directly).
     ///
     /// Semantics per [`TierEventKind`]:
     /// - `Degrade`: the tier (if currently a live chain member) shows

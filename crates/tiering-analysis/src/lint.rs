@@ -30,8 +30,8 @@ pub const RESTRICTED_CRATES: [&str; 5] = [
 /// rules also cover: the shard/tenant modules whose code runs (or feeds)
 /// the parallel shard-step phase. `harness` as a crate stays unrestricted
 /// (it times real wall-clock runs), but its fleet runner is shard-era code,
-/// and the tier-chaos sharded driver in tiering-verify schedules the tier
-/// events every shard must observe at the same barrier.
+/// and the tier-chaos sharded driver in tiering-verify builds the per-tenant
+/// fault plans whose tier events every shard must fire at the same time.
 pub const RESTRICTED_FILES: [&str; 4] = [
     "crates/tiering-policies/src/shard.rs",
     "crates/tiered-mem/src/partition.rs",

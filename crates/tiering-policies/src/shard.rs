@@ -6,9 +6,11 @@
 //! shards share no mutable state and need no locks. [`ShardedSim`] advances
 //! all shards with **conservative time-stepping**: every shard runs
 //! independently up to the next barrier (one barrier per scan period), then
-//! cross-shard effects — migration-slot admission grants, capacity events —
-//! are applied single-threaded in tenant-id order before the next interval
-//! begins.
+//! the one cross-shard effect — migration-slot admission grants — is
+//! applied single-threaded in tenant-id order before the next interval
+//! begins. Faults are per tenant: capacity and tier failure-domain events
+//! ride each shard's own `tiered_mem::FaultPlan` and fire inside the
+//! shard's step at their own time, exactly as in a single-system run.
 //!
 //! Because a shard's step is a pure function of its own state and the
 //! barrier horizon, and barrier effects are computed after *all* shards
@@ -25,7 +27,7 @@
 //! tenants when slots are scarce.
 
 use sim_clock::{DetRng, Nanos};
-use tiered_mem::{TierEvent, TieredSystem};
+use tiered_mem::TieredSystem;
 use workloads::Workload;
 
 use crate::driver::{DriverConfig, DriverSession, RunResult};
@@ -77,13 +79,6 @@ pub struct ShardedConfig {
     pub permute_seed: Option<u64>,
     /// Per-tenant migration-slot admission.
     pub admission: AdmissionConfig,
-    /// Tier failure-domain events applied to *every* shard at the first
-    /// barrier at or after each event's firing time, in tenant-id order —
-    /// the cross-shard analogue of a per-system
-    /// `tiered_mem::FaultPlan::tier_events` schedule. Because application
-    /// happens single-threaded at the barrier, the chaos is identical for
-    /// any worker-thread count.
-    pub tier_events: Vec<TierEvent>,
 }
 
 impl ShardedConfig {
@@ -95,7 +90,6 @@ impl ShardedConfig {
             threads: 1,
             permute_seed: None,
             admission: AdmissionConfig::default(),
-            tier_events: Vec::new(),
         }
     }
 }
@@ -531,9 +525,6 @@ impl ShardedSim {
         let step = self.cfg.barrier_interval.max(Nanos(1));
         let threads = self.cfg.threads.max(1);
         let mut ctl = AdmissionControl::new(self.cfg.admission.clone(), self.shards.len());
-        let mut tier_events = self.cfg.tier_events.clone();
-        tier_events.sort_by_key(|e| e.at);
-        let mut next_tier_event = 0usize;
 
         if ctl.cfg.enabled {
             audit_hook(&ctl.apply(&mut self.shards, true, 0));
@@ -605,15 +596,6 @@ impl ShardedSim {
             }
             now = next;
             barriers += 1;
-            // Barrier-scheduled tier chaos: applied single-threaded, every
-            // shard in tenant-id order per event, so the failure arrives at
-            // the same virtual instant for any thread count.
-            while let Some(&ev) = tier_events.get(next_tier_event).filter(|e| e.at <= now) {
-                next_tier_event += 1;
-                for s in self.shards.iter_mut() {
-                    s.sys.apply_tier_event(ev);
-                }
-            }
             if ctl.cfg.enabled {
                 audit_hook(&ctl.apply(&mut self.shards, false, barriers));
             }

@@ -15,7 +15,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use sim_clock::Nanos;
-use tiered_mem::FaultPlan;
+use tiered_mem::{FaultPlan, TierHealth};
 
 use crate::policy_fuzz::{
     run_policy_case, run_policy_case_with_plan, PolicyUnderTest, ALL_POLICIES,
@@ -63,7 +63,7 @@ pub fn three_tier_golden_path(seed: u64) -> PathBuf {
 }
 
 /// Path of the tier-chaos shard snapshot for one seed (multi-tenant run
-/// with a mid-run `TierOffline`/rejoin arc applied at barriers).
+/// with a mid-run `TierOffline`/rejoin arc in every tenant's fault plan).
 pub fn tier_chaos_golden_path(seed: u64) -> PathBuf {
     golden_dir().join(format!("tierchaos_seed_{seed:08x}.txt"))
 }
@@ -176,8 +176,9 @@ const TIER_CHAOS_POLICIES: [PolicyUnderTest; 4] = [
 /// evacuation window) and rejoining, single-threaded — the thread-invariance
 /// suite proves 2- and 8-worker replays reproduce the same table. One line
 /// per policy: `<policy> <combined> <accesses> <per-tenant digests...>`.
-/// The arc must actually fire (health transitions recorded) — a chaos
-/// golden whose tiers never fail pins nothing.
+/// The arc must actually fire and complete — four health transitions per
+/// tenant, every slow tier back Online — or the golden pins a run whose
+/// tiers never failed or never came back.
 pub fn compute_tier_chaos_golden(seed: u64) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -193,8 +194,12 @@ pub fn compute_tier_chaos_golden(seed: u64) -> String {
             r.violations
         );
         assert!(
-            r.tier_health_transitions > 0,
-            "tier-chaos golden case {p:?}/{seed:#x} never failed a tier"
+            r.tier_health_transitions == 4 * SHARD_GOLDEN_TENANTS as u64
+                && r.slow_tier_health.iter().all(|&h| h == TierHealth::Online),
+            "tier-chaos golden case {p:?}/{seed:#x} did not complete the arc: \
+             {} transitions, final health {:?}",
+            r.tier_health_transitions,
+            r.slow_tier_health
         );
         out.push_str(&format!(
             "{:<16} {:016x} {}",

@@ -44,7 +44,7 @@ pub use ops::{
 pub use oracle::{InvariantOracle, Violation};
 pub use policy_fuzz::{
     determinism_digests, fuzz_one_tier_chaos, run_policy_case, run_policy_case_with_plan,
-    PolicyRunReport, PolicyUnderTest, ALL_POLICIES,
+    PolicyRunReport, PolicyUnderTest, ALL_POLICIES, FUZZ_MEMTIS_SAMPLE_PERIOD,
 };
 pub use sharded::{
     fuzz_one_tenant_storm, run_sharded_case, run_sharded_case_mixed, run_sharded_case_permuted,

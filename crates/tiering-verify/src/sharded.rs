@@ -32,7 +32,7 @@
 
 use sim_clock::{DetRng, Nanos};
 use tiered_mem::{
-    FaultPlan, PageSize, PartitionPlan, SystemConfig, TierEvent, TierId, TieredSystem,
+    FaultPlan, PageSize, PartitionPlan, SystemConfig, TierEvent, TierHealth, TierId, TieredSystem,
 };
 use tiering_analysis::{canonical_grants, RaceClaim};
 use tiering_policies::{
@@ -41,7 +41,7 @@ use tiering_policies::{
 use workloads::{PmbenchConfig, PmbenchWorkload, Workload};
 
 use crate::oracle::{InvariantOracle, Violation};
-use crate::policy_fuzz::{case_shape, PolicyUnderTest, ALL_POLICIES};
+use crate::policy_fuzz::{case_shape, PolicyUnderTest, ALL_POLICIES, FUZZ_MEMTIS_SAMPLE_PERIOD};
 
 /// Stream id the per-tenant weight RNG is split on.
 const WEIGHT_STREAM: u64 = 0x57A5_0001;
@@ -87,6 +87,9 @@ pub struct ShardedCaseReport {
     pub tier_health_transitions: u64,
     /// Emergency evacuation-lane pages summed across tenants.
     pub evacuated_pages: u64,
+    /// Health of each tenant's slow tier at the end of the run, tenant
+    /// order.
+    pub slow_tier_health: Vec<TierHealth>,
     /// All violations found (per-shard oracle + cross-shard invariants).
     pub violations: Vec<Violation>,
 }
@@ -139,7 +142,9 @@ fn build_shards(
             1,
             sys,
             vec![Box::new(w)],
-            policy_for(0).build(scan_period, 512, 2).into_dyn(),
+            policy_for(0)
+                .build(scan_period, 512, 2, FUZZ_MEMTIS_SAMPLE_PERIOD)
+                .into_dyn(),
             driver,
         );
         let plan = PartitionPlan::split_even(total_frames / 4, total_frames - total_frames / 4, 1);
@@ -171,7 +176,9 @@ fn build_shards(
                 weights[i],
                 sys,
                 vec![Box::new(w) as Box<dyn Workload>],
-                policy_for(i as u32).build(scan_period, 512, 2).into_dyn(),
+                policy_for(i as u32)
+                    .build(scan_period, 512, 2, FUZZ_MEMTIS_SAMPLE_PERIOD)
+                    .into_dyn(),
                 driver.clone(),
             )
         })
@@ -352,7 +359,6 @@ pub fn run_sharded_case_mixed(
         admission_slots,
         fault_plan_for,
         None,
-        Vec::new(),
     )
 }
 
@@ -382,15 +388,14 @@ pub fn run_sharded_case_permuted(
         slots,
         &|_| None,
         Some(permute_seed),
-        Vec::new(),
     )
 }
 
-/// The barrier-scheduled failure-domain arc of the tier-chaos shard cases:
-/// every tenant's slow tier goes offline at 40 % of the run (evacuation
-/// deadline at the halfway mark — a live drain window) and rejoins at
-/// 70 %. Event times are absolute, so the arc lands on the same barriers
-/// at every worker-thread count.
+/// The failure-domain arc of the tier-chaos shard cases: every tenant's
+/// slow tier goes offline at 40 % of the run (evacuation deadline at the
+/// halfway mark — a live drain window) and rejoins at 70 %. The events ride
+/// each tenant's own `FaultPlan`, so they fire at their own time inside the
+/// shard's step, at every worker-thread count.
 pub fn shard_tier_chaos_events(run_millis: u64) -> Vec<TierEvent> {
     let t = Nanos::from_millis(run_millis).as_nanos();
     vec![
@@ -410,11 +415,12 @@ pub fn shard_tier_chaos_events(run_millis: u64) -> Vec<TierEvent> {
 }
 
 /// The satellite determinism case of the failure-domain work: a mid-run
-/// `TierOffline` (then rejoin) applied to every tenant at barriers via
-/// [`tiering_policies::ShardedConfig::tier_events`], run at any worker
-/// thread count. The committed chaos shard golden snapshots this
-/// single-threaded; the thread-invariance suite replays it at 2 and 8
-/// workers and must reproduce the table bit for bit.
+/// `TierOffline` (then rejoin) of every tenant's slow tier, scheduled in
+/// each tenant's otherwise inert `FaultPlan` ([`shard_tier_chaos_events`]),
+/// run at any worker thread count. Shards share nothing between barriers,
+/// so the arc is the same at every thread count. The committed chaos shard
+/// golden snapshots this single-threaded; the thread-invariance suite
+/// replays it at 2 and 8 workers and must reproduce the table bit for bit.
 pub fn run_sharded_tier_chaos_case(
     policy: PolicyUnderTest,
     seed: u64,
@@ -429,9 +435,13 @@ pub fn run_sharded_tier_chaos_case(
         SHARD_GOLDEN_TENANTS,
         threads,
         Some(AdmissionConfig::default().total_slots),
-        &|_| None,
+        &|_| {
+            Some(FaultPlan {
+                tier_events: shard_tier_chaos_events(run_millis),
+                ..FaultPlan::inert(seed)
+            })
+        },
         None,
-        shard_tier_chaos_events(run_millis),
     )
 }
 
@@ -446,7 +456,6 @@ fn run_sharded_case_full(
     admission_slots: Option<usize>,
     fault_plan_for: &dyn Fn(u32) -> Option<FaultPlan>,
     permute_seed: Option<u64>,
-    tier_events: Vec<TierEvent>,
 ) -> ShardedCaseReport {
     const MAX_KEPT: usize = 8;
     let (shards, plan) = build_shards(policy_for, seed, tenants, run_millis, fault_plan_for);
@@ -454,7 +463,6 @@ fn run_sharded_case_full(
     cfg.barrier_interval = Nanos::from_millis(SCAN_PERIOD_MS);
     cfg.threads = threads;
     cfg.permute_seed = permute_seed;
-    cfg.tier_events = tier_events;
     cfg.admission = AdmissionConfig {
         enabled: admission_slots.is_some(),
         total_slots: admission_slots.unwrap_or_else(|| AdmissionConfig::default().total_slots),
@@ -521,6 +529,11 @@ fn run_sharded_case_full(
             .iter()
             .map(|s| s.sys.stats.evacuated_pages)
             .sum(),
+        slow_tier_health: result
+            .shards
+            .iter()
+            .map(|s| s.sys.tier_health(TierId::SLOW))
+            .collect(),
         violations,
     }
 }
@@ -609,14 +622,26 @@ mod tests {
     #[test]
     fn mid_run_tier_offline_is_thread_invariant_and_actually_evacuates() {
         // The failure-domain determinism satellite: the slow tier of every
-        // tenant dies mid-run and rejoins, applied at barriers — 1-, 2-,
-        // and 8-worker replays must produce the same tables bit for bit,
-        // and the arc must genuinely fire (evacuations, health churn).
+        // tenant dies mid-run and rejoins, each event firing at its own
+        // time from the tenant's fault plan — 1-, 2-, and 8-worker replays
+        // must produce the same tables bit for bit, and the arc must
+        // genuinely fire (evacuations, health churn).
         let p = PolicyUnderTest::ChronoDcsc;
         let one = run_sharded_tier_chaos_case(p, 0xABCD, 10, 1);
         assert!(one.clean(), "violations: {:?}", one.violations);
-        assert!(one.tier_health_transitions > 0, "no tier ever failed");
         assert!(one.evacuated_pages > 0, "offline window never evacuated");
+        // Every tenant completes the whole arc — Online → Evacuating →
+        // Offline on the 4 ms event, Rejoining → Online after the 7 ms one
+        // — so each records exactly four transitions and ends Online.
+        assert_eq!(
+            one.tier_health_transitions,
+            4 * SHARD_GOLDEN_TENANTS as u64,
+            "some tenant did not complete the offline/rejoin arc"
+        );
+        assert_eq!(
+            one.slow_tier_health,
+            vec![TierHealth::Online; SHARD_GOLDEN_TENANTS]
+        );
         for threads in [2usize, 8] {
             let multi = run_sharded_tier_chaos_case(p, 0xABCD, 10, threads);
             assert_eq!(
@@ -627,11 +652,20 @@ mod tests {
             assert_eq!(multi.granted_slots, one.granted_slots);
             assert_eq!(multi.tier_health_transitions, one.tier_health_transitions);
             assert_eq!(multi.evacuated_pages, one.evacuated_pages);
+            assert_eq!(multi.slow_tier_health, one.slow_tier_health);
         }
         // The arc must also perturb the run relative to the fault-free case
         // — otherwise the golden snapshots nothing new.
         let clean = run_sharded_case(p, 0xABCD, 10, SHARD_GOLDEN_TENANTS, 1, true);
         assert_ne!(one.combined_digest, clean.combined_digest);
+        // With the pair live again after the rejoin, semi-auto's threshold
+        // feedback and manual's fixed threshold must tell the modes apart.
+        let semi = run_sharded_tier_chaos_case(PolicyUnderTest::ChronoSemiAuto, 0xABCD, 10, 1);
+        let manual = run_sharded_tier_chaos_case(PolicyUnderTest::ChronoManual, 0xABCD, 10, 1);
+        assert_ne!(
+            semi.combined_digest, manual.combined_digest,
+            "semi-auto and manual tuning ran identically through the arc"
+        );
     }
 
     #[test]
